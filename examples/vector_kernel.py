@@ -3,8 +3,8 @@
 `control.kernel = "vector"` swaps the engine's per-computer Python hot
 loops for numpy-batched ones — the L0 bank expands every serving
 computer's lookahead tree at once, the Kalman bank advances all workload
-filters per boundary, map queries gather whole candidate sets in one
-call, and baseline-cluster substeps advance every machine as one array.
+filters per boundary, and baseline-cluster substeps advance every
+machine as one array.
 
 The contract mirrors the sharded backend's (`sharded_cluster.py`): not
 "approximately the same", but deterministic summaries that are

@@ -371,11 +371,6 @@ class L1Controller:
         self._base_powers = [c.base_power for c in module_spec.computers]
         self._memo: dict[tuple, tuple[float, float]] = {}
         self._available = np.ones(module_spec.size, dtype=bool)
-        #: Control-period kernel ("scalar" or "vector"); set by the engine
-        #: from :class:`repro.sim.options.EngineOptions`. The vector path
-        #: expands each lookahead node's map queries as one batched call
-        #: and is bit-identical to the scalar enumeration.
-        self.kernel = "scalar"
 
     @staticmethod
     def _train_maps(
@@ -414,16 +409,30 @@ class L1Controller:
         available: np.ndarray | None = None,
     ) -> L1Decision:
         """Decide using the internal predictor's forecasts and band."""
-        forecasts = self.predictor.forecast(2)
-        delta = self.predictor.band.delta if self.params.use_uncertainty_band else 0.0
+        rate_hat, rate_next, delta = self.set_points()
         return self.decide(
             queues,
             alpha_current,
-            rate_hat=forecasts[0] / self.params.period,
-            rate_next=forecasts[1] / self.params.period,
-            delta=delta / self.params.period,
+            rate_hat=rate_hat,
+            rate_next=rate_next,
+            delta=delta,
             work=self.work_estimate,
             available=available,
+        )
+
+    def set_points(self) -> "tuple[float, float, float]":
+        """``(rate_hat, rate_next, delta)`` from the module's own predictor.
+
+        The arrival-rate forecasts (requests/s) for the two horizon
+        periods and the uncertainty half-width, as :meth:`decide` takes
+        them when no L2 controller supplies the module's share.
+        """
+        forecasts = self.predictor.forecast(2)
+        delta = self.predictor.band.delta if self.params.use_uncertainty_band else 0.0
+        return (
+            forecasts[0] / self.params.period,
+            forecasts[1] / self.params.period,
+            delta / self.params.period,
         )
 
     # ------------------------------------------------------------------
@@ -470,14 +479,6 @@ class L1Controller:
         # Candidates re-query the same (computer, queue, rate, work) cells
         # over and over; memoise per decision.
         self._memo: dict[tuple, tuple[float, float]] = {}
-        # The batched evaluator's per-group bookkeeping only pays off
-        # once a module is wide enough to amortise the numpy dispatch;
-        # narrow modules stay on the scalar loop (same bits either way).
-        horizon_cost = (
-            self._horizon_cost_vector
-            if self.kernel == "vector" and m >= 16
-            else self._horizon_cost
-        )
 
         for alpha in self._candidate_alphas(alpha_current):
             serving_now = alpha & alpha_current  # available during [k, k+1)
@@ -485,7 +486,7 @@ class L1Controller:
                 continue
             context = self._alpha_context(alpha, alpha_current)
             for gamma in self._candidate_gammas(serving_now):
-                cost, states = horizon_cost(
+                cost, states = self._horizon_cost(
                     queues, context, gamma, rate_hat, rate_next, delta, work
                 )
                 explored += states
@@ -626,123 +627,6 @@ class L1Controller:
                 step_cost += cost_j
             total += step_cost * next_weight
         return total, states
-
-    def _horizon_cost_vector(
-        self,
-        queues: np.ndarray,
-        context: dict,
-        gamma: np.ndarray,
-        rate_hat: float,
-        rate_next: float,
-        delta: float,
-        work: float,
-    ) -> tuple[float, int]:
-        """Vector-kernel twin of :meth:`_horizon_cost`.
-
-        Expands every map query of a lookahead node as one batched
-        :meth:`ComputerBehaviorMap.cost_and_next_queue_many` call per
-        (sample, computer-group) while accumulating the returned floats
-        in the scalar path's exact order — including the per-decision
-        memo's first-occurrence aliasing — so costs are bit-identical.
-        """
-        samples = three_point_band(rate_hat, delta) if delta > 0 else [rate_hat]
-        states = 0
-        total = context["fixed_cost"]
-        weight = 1.0 / len(samples)
-        serving_idx = context["serving_idx"]
-        draining_idx = context["draining_idx"]
-        next_queues = {j: 0.0 for j in serving_idx}
-        for rate in samples:
-            states += 1
-            step_cost = 0.0
-            hits = self._query_group(
-                serving_idx, [queues[j] for j in serving_idx],
-                [gamma[j] * rate for j in serving_idx], work,
-            )
-            for j, (cost_j, next_q) in zip(serving_idx, hits):
-                step_cost += cost_j
-                next_queues[j] += next_q * weight
-            hits = self._query_group(
-                draining_idx, [queues[j] for j in draining_idx],
-                [0.0 for _ in draining_idx], work,
-            )
-            for cost_j, _ in hits:
-                step_cost += cost_j
-            total += step_cost * weight
-
-        gamma_next = context["gamma_next"]
-        on_idx = context["on_idx"]
-        next_samples = three_point_band(rate_next, delta) if delta > 0 else [rate_next]
-        next_weight = 1.0 / len(next_samples)
-        for rate in next_samples:
-            states += 1
-            step_cost = 0.0
-            hits = self._query_group(
-                on_idx, [next_queues.get(j, 0.0) for j in on_idx],
-                [gamma_next[j] * rate for j in on_idx], work,
-            )
-            for cost_j, _ in hits:
-                step_cost += cost_j
-            total += step_cost * next_weight
-        return total, states
-
-    def _query_group(
-        self, js, group_queues, group_rates, work: float
-    ) -> "list[tuple[float, float]]":
-        """Memoised batched map lookup for one group of computers.
-
-        Replicates the scalar :meth:`_query` semantics exactly: memo keys
-        round the operating point, duplicate keys inside the group alias
-        to the *first* occurrence's evaluation (as the scalar loop's
-        insert-then-hit sequence does), and fresh keys are evaluated in
-        group order through the batched map query.
-        """
-        results: "list[tuple[float, float] | None]" = [None] * len(js)
-        work_key = round(work, 9)
-        misses: "dict[tuple, tuple[int, float, float, list[int]]]" = {}
-        for t, (j, queue, rate) in enumerate(zip(js, group_queues, group_rates)):
-            key = (id(self.maps[j]), round(queue, 6), round(rate, 6), work_key)
-            hit = self._memo.get(key)
-            if hit is not None:
-                results[t] = hit
-                continue
-            entry = misses.get(key)
-            if entry is None:
-                misses[key] = (j, queue, rate, [t])
-            else:
-                entry[3].append(t)
-        if misses:
-            by_map: "dict[int, list[tuple]]" = {}
-            for key, (j, queue, rate, slots) in misses.items():
-                by_map.setdefault(id(self.maps[j]), []).append(
-                    (key, j, queue, rate, slots)
-                )
-            for items in by_map.values():
-                behavior_map = self.maps[items[0][1]]
-                if len(items) < 16:
-                    # Small miss sets (the module-of-4 common case) are
-                    # cheaper through the scalar query than through the
-                    # batched call's fixed numpy dispatch; both return
-                    # the same bits, so this is a speed choice only.
-                    for key, _, queue, rate, slots in items:
-                        hit = behavior_map.cost_and_next_queue(
-                            queue, rate, work
-                        )
-                        self._memo[key] = hit
-                        for t in slots:
-                            results[t] = hit
-                    continue
-                costs, finals = behavior_map.cost_and_next_queue_many(
-                    [item[2] for item in items],
-                    [item[3] for item in items],
-                    work,
-                )
-                for (key, _, _, _, slots), cost, final in zip(items, costs, finals):
-                    hit = (float(cost), float(final))
-                    self._memo[key] = hit
-                    for t in slots:
-                        results[t] = hit
-        return results
 
     def _query(self, j: int, queue: float, rate: float, work: float) -> tuple[float, float]:
         """Memoised abstraction-map lookup for computer ``j``.

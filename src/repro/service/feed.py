@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -83,6 +84,14 @@ def parse_observation(line: str) -> "Observation | None":
         not isinstance(work, (int, float)) or isinstance(work, bool)
     ):
         raise ControlError(f"observation 'work' must be a number, got {work!r}")
+    # json.loads accepts NaN and Infinity; one such value would poison
+    # the live Kalman state for the rest of the run.
+    for name, value in (("arrivals", arrivals), ("work", work)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ControlError(
+                f"bad observation line {line!r}: {name!r} must be "
+                "finite and non-negative"
+            )
     return Observation(
         step=step,
         arrivals=float(arrivals),

@@ -16,6 +16,14 @@ re-divides the workload across modules. Passing ``baseline=`` pins every
 module to a heuristic policy instead (static capacity-proportional split,
 no L2/L1/L0 optimisation) — the §5.2 setting's reference points.
 
+Both simulations step each module through one
+:class:`~repro.sim.shard.ModuleShardRunner`, which holds the fault
+handling, the decide/hold/force sequence and the L0 loop. The
+simulations only build the runner's inputs — from the module's own
+predictor in :class:`ModuleSimulation`, from the L2 decision in
+:class:`ClusterSimulation` — and do the recording and period
+bookkeeping.
+
 Both simulations follow the same **stepwise protocol**: ``reset()``
 prepares a run, ``step()`` advances one T_L0 period, ``advance_period()``
 generates the steps of one control period, ``steps()`` generates the
@@ -26,16 +34,16 @@ at every seam; the result arrays themselves are accumulated by recorder
 observers riding the same interface, so streaming consumers see exactly
 what the results see.
 
-Cluster runs execute on either of two backends behind the same
-protocol: serial (every module advanced in-process) or sharded — one
-persistent worker process per module (:mod:`repro.sim.shard`), with
-bit-identical events and results.
+Cluster runs execute on any of three backends behind the same
+protocol: serial (every module advanced in-process), sharded — one
+persistent worker process per module (:mod:`repro.sim.shard`) — or a
+thread pool, with bit-identical events and results.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -70,12 +78,12 @@ from repro.sim.results import ClusterRunResult, ModuleRunResult, RunSummary
 from repro.sim.shard import (
     EXECUTION_MODES,
     ModuleBoundaryInput,
+    ModuleFinalization,
     ModulePeriodInput,
     ModuleShardRunner,
     ModuleStepInput,
     ShardWorkerPool,
     ThreadShardPool,
-    forced_configuration,
 )
 from repro.workload.trace import ArrivalTrace
 
@@ -95,6 +103,100 @@ class SimulationOptions:
     mean_work: float = 0.0175
     seed: int = 0
     recorder_window: "int | None" = None
+
+
+def _timed_begin_period(
+    runner: ModuleShardRunner,
+    boundary: ModuleBoundaryInput,
+    options: EngineOptions,
+    lookahead: int,
+) -> L1DecisionEvent:
+    """Run one module's boundary, timed into the attached telemetry.
+
+    The wall time feeds the ``repro_decision_seconds`` histogram and the
+    ``l1-lookahead`` span. With neither metrics nor an enabled tracer
+    attached no clock is read, so batch runs stay byte-identical.
+    """
+    metrics = options.metrics
+    tracer = options.tracer
+    tracing = tracer is not None and tracer.enabled
+    if metrics is None and not tracing:
+        return runner.begin_period(boundary)
+    t0 = time.perf_counter()
+    event = runner.begin_period(boundary)
+    wall = time.perf_counter() - t0
+    if metrics is not None:
+        metrics.histogram(
+            "repro_decision_seconds",
+            "Wall time per controller decision.",
+            level="l1",
+        ).observe(wall)
+    if tracing:
+        tracer.emit(
+            "l1-lookahead",
+            period=event.period,
+            module=event.module,
+            wall_us=wall * 1e6,
+            machines_on=int(event.alpha.sum()),
+            lookahead=lookahead,
+            held=event.held,
+            forced=event.forced,
+        )
+    return event
+
+
+def _emit_l0_bank_span(
+    tracer, runner: ModuleShardRunner, period: int, mark: "tuple[float, int]"
+) -> "tuple[float, int]":
+    """Emit ``runner``'s ``l0-bank`` span for one period; return the new mark.
+
+    The span aggregates the stats the L0 controllers already record per
+    invocation, so tracing adds no clock reads on the step path.
+    ``mark`` is the ``(wall_seconds, states)`` total already attributed
+    to earlier spans.
+    """
+    wall_total = sum(l0.stats.wall_seconds for l0 in runner.l0_bank)
+    states_total = sum(l0.stats.states_explored for l0 in runner.l0_bank)
+    tracer.emit(
+        "l0-bank",
+        period=period,
+        module=runner.module_index,
+        wall_us=(wall_total - mark[0]) * 1e6,
+        states=states_total - mark[1],
+    )
+    return wall_total, states_total
+
+
+def _module_result(
+    spec: ModuleSpec,
+    recorder: ModuleRecorder,
+    final: ModuleFinalization,
+    l0_params: L0Params,
+    l1_period: float,
+) -> ModuleRunResult:
+    """One module's result: its recorder's series and runner aggregates."""
+    return ModuleRunResult(
+        l0_period=l0_params.period,
+        l1_period=l1_period,
+        computer_names=[c.name for c in spec.computers],
+        arrivals=recorder.arrivals,
+        frequencies=recorder.frequencies,
+        responses=recorder.responses,
+        queues=recorder.queues,
+        power=recorder.power,
+        l1_arrivals=recorder.l1_arrivals,
+        l1_predictions=recorder.l1_predictions,
+        computers_on=recorder.computers_on,
+        target_response=l0_params.target_response,
+        energy_base=final.energy_base,
+        energy_dynamic=final.energy_dynamic,
+        energy_transient=final.energy_transient,
+        switch_ons=final.switch_ons,
+        switch_offs=final.switch_offs,
+        l0_stats=final.l0_stats,
+        l1_stats=final.l1_stats,
+        stream=recorder.stream,
+    )
 
 
 class ModuleSimulation:
@@ -147,7 +249,6 @@ class ModuleSimulation:
             self.l1: L1Controller | None = L1Controller(
                 spec, behavior_maps, self.l1_params, self.l0_params
             )
-            self.l1.kernel = self.engine_options.kernel
             self.l0s = [L0Controller(c, self.l0_params) for c in spec.computers]
         else:
             self.l1 = None
@@ -158,7 +259,6 @@ class ModuleSimulation:
             raise ConfigurationError("work_series must align with the trace bins")
         self.work_series = work_series
         self.module_overrides: "dict[int, int]" = {}
-        self._l0_kernel = None
         self._state: "_ModuleRunState | None" = None
 
     @property
@@ -285,20 +385,25 @@ class ModuleSimulation:
             target_response=self.l0_params.target_response,
             step_seconds=self.l0_params.period,
         )
-        state = _ModuleRunState(
+        fine_predictor = WorkloadPredictor() if self.baseline is None else None
+        self._tune_predictor(self.module_controller, fine_predictor)
+        runner = ModuleShardRunner(
+            module_index=0,
             plant=Module(self.spec, initially_on=True),
+            controller=self.module_controller,
+            l0_bank=self.l0s,
+            l0_params=self.l0_params,
+            mean_work=self.options.mean_work,
+            is_baseline=self.baseline is not None,
+            failure_events=self.failure_events,
+            kernel=self.kernel,
+        )
+        state = _ModuleRunState(
+            runner=runner,
             recorder=recorder,
             sink=ObserverList((recorder, *observers)),
-            fine_predictor=WorkloadPredictor(),
-            alpha=np.ones(self.spec.size, dtype=bool),
-            gamma=np.full(self.spec.size, 1.0 / self.spec.size),
-            pending_events=list(self.failure_events),
+            fine_predictor=fine_predictor,
         )
-        self._tune_predictor(self.module_controller, state.fine_predictor)
-        if self.kernel == "vector" and self.l0s and self._l0_kernel is None:
-            from repro.sim.kernels import L0BankKernel
-
-            self._l0_kernel = L0BankKernel(self.l0s)
         self._state = state
         state.sink.on_run_start(self)
         return self
@@ -309,200 +414,68 @@ class ModuleSimulation:
         if state.k >= self.total_steps:
             raise ControlError("simulation already finished; call reset()")
         k = state.k
-        m = self.spec.size
-        plant = state.plant
-        controller = self.module_controller
+        runner = state.runner
         work = float(self.work_series[k])
         now = k * self.l0_params.period
-
-        while state.pending_events and state.pending_events[0][0] <= now:
-            _, index_failed, kind = state.pending_events.pop(0)
-            if kind == "fail":
-                plant.fail_computer(index_failed)
-                state.alpha[index_failed] = False
-                if state.gamma[index_failed] > 0:
-                    gamma = state.gamma.copy()
-                    gamma[index_failed] = 0.0
-                    total = gamma.sum()
-                    if total > 0:
-                        gamma = gamma / total
-                    else:
-                        # The only serving machine failed: emergency
-                        # power-on of the fastest survivor; arrivals
-                        # queue behind its boot.
-                        survivor = int(
-                            np.argmax(
-                                np.where(
-                                    plant.available_mask,
-                                    [c.model.speed_factor for c in plant.computers],
-                                    -1.0,
-                                )
-                            )
-                        )
-                        plant.computers[survivor].power_on()
-                        state.alpha[survivor] = True
-                        gamma = np.zeros_like(gamma)
-                        gamma[survivor] = 1.0
-                    state.gamma = gamma
-            else:
-                plant.repair_computer(index_failed)
-
         if k % self.substeps == 0:
-            index = k // self.substeps
+            controller = self.module_controller
             if k > 0:
                 controller.observe(state.interval_arrivals, work)
-            prediction = float(controller.predictor.forecast(1)[0])
             state.interval_arrivals = 0.0
-            # Compute the decision first, apply it only if it met its
-            # deadline budget: an overrun holds the previous allocation
-            # (the plant never sees the abandoned decision), while the
-            # observe above has already resynced the forecasts.
             deadline = self.decision_deadline
-            started = time.monotonic() if deadline is not None else None
-            metrics = self.metrics
-            tracer = self.tracer
-            tracing = tracer is not None and tracer.enabled
-            timed = tracing or metrics is not None
-            t0 = time.perf_counter() if timed else None
-            if self.baseline is None:
-                decision = controller.act(
-                    plant.queue_lengths, state.alpha, available=plant.available_mask
-                )
-            else:
-                decision = controller.act(plant.queue_lengths, state.alpha)
-            decision_wall = time.perf_counter() - t0 if timed else 0.0
-            held = (
-                deadline is not None
-                and time.monotonic() - started > deadline
+            boundary = ModuleBoundaryInput(
+                period=k // self.substeps,
+                now=now,
+                deadline_at=(
+                    None if deadline is None else time.monotonic() + deadline
+                ),
+                force_on=self.module_overrides.get(0),
             )
-            if not held:
-                state.alpha = decision.alpha.astype(bool)
-                state.gamma = decision.gamma
-            plant.apply_configuration(state.alpha)
-            if self.baseline is not None and not held:
-                for computer, freq in zip(
-                    plant.computers, decision.frequency_indices
-                ):
-                    computer.set_frequency_index(int(freq))
-            forced = False
-            force_on = self.module_overrides.get(0)
-            if force_on is not None:
-                state.alpha, state.gamma = forced_configuration(
-                    plant.available_mask, force_on, state.alpha, state.gamma
-                )
-                plant.apply_configuration(state.alpha)
-                forced = True
-            if metrics is not None:
-                metrics.histogram(
-                    "repro_decision_seconds",
-                    "Wall time per controller decision.",
-                    level="l1",
-                ).observe(decision_wall)
-            if tracing:
-                tracer.emit(
-                    "l1-lookahead",
-                    period=index,
-                    module=0,
-                    wall_us=decision_wall * 1e6,
-                    machines_on=int(state.alpha.sum()),
-                    lookahead=(
-                        0 if self.baseline is not None
-                        else self.l1_params.horizon
-                    ),
-                    held=held,
-                    forced=forced,
+            if self.l1 is not None:
+                # The module's own predictor stands in for the L2 share.
+                rate_hat, rate_next, delta = self.l1.set_points()
+                boundary = replace(
+                    boundary,
+                    rate_hat=rate_hat,
+                    rate_next=rate_next,
+                    delta=delta,
+                    prediction=float(self.l1.predictor.forecast(1)[0]),
                 )
             state.sink.on_l1_decision(
-                L1DecisionEvent(
-                    period=index,
-                    module=0,
-                    alpha=state.alpha.copy(),
-                    gamma=state.gamma.copy(),
-                    prediction=prediction,
-                    held=held,
-                    forced=forced,
+                _timed_begin_period(
+                    runner,
+                    boundary,
+                    self.engine_options,
+                    lookahead=0 if self.l1 is None else self.l1_params.horizon,
                 )
             )
 
         arrivals = float(self.trace.counts[k])
         state.interval_arrivals += arrivals
-
-        freq_row = np.zeros(m)
-        if self.baseline is None:
-            module_forecast = (
+        forecast = None
+        if state.fine_predictor is not None:
+            forecast = (
                 state.fine_predictor.forecast(self.l0_params.horizon)
                 / self.l0_params.period
             )
-            if self._l0_kernel is not None:
-                serving = [
-                    j for j, c in enumerate(plant.computers) if c.is_serving
-                ]
-                if serving:
-                    decisions = self._l0_kernel.decide_many(
-                        serving,
-                        [plant.computers[j].queue_length for j in serving],
-                        [state.gamma[j] * module_forecast for j in serving],
-                        [self.l0s[j].work_estimate for j in serving],
-                    )
-                    for j, decided in zip(serving, decisions):
-                        plant.computers[j].set_frequency_index(
-                            decided.frequency_index
-                        )
-                freq_row[:] = [c.frequency_ghz for c in plant.computers]
-            else:
-                for j, (computer, l0) in enumerate(
-                    zip(plant.computers, self.l0s)
-                ):
-                    if computer.is_serving:
-                        freq = l0.decide(
-                            computer.queue_length,
-                            state.gamma[j] * module_forecast,
-                            l0.work_estimate,
-                        )
-                        computer.set_frequency_index(freq.frequency_index)
-                    freq_row[j] = computer.frequency_ghz
-        else:
-            freq_row[:] = [c.frequency_ghz for c in plant.computers]
-
-        results = plant.step_fluid(arrivals, work, self.l0_params.period, state.gamma)
-        state.fine_predictor.observe(arrivals)
-        response_row = np.empty(m)
-        queue_row = np.empty(m)
-        for j, result in enumerate(results):
-            response_row[j] = result.response_time
-            queue_row[j] = result.queue
-            if self.baseline is None:
-                self.l0s[j].work_filter.observe(work)
-        power = plant.total_power(results)
-
-        event = StepEvent(
-            step=k,
-            time=now,
-            module=0,
-            arrivals=arrivals,
-            frequencies=freq_row,
-            responses=response_row,
-            queues=queue_row,
-            power=power,
+            state.fine_predictor.observe(arrivals)
+        event = runner.step(
+            ModuleStepInput(
+                step=k,
+                time=now,
+                share=arrivals,
+                gamma_module=1.0,
+                forecast=forecast,
+                work=work,
+            )
         )
         state.sink.on_step(event)
         if (k + 1) % self.substeps == 0 or k + 1 == self.total_steps:
             tracer = self.tracer
-            if tracer is not None and tracer.enabled and self.l0s:
-                # The L0 bank's per-period span aggregates the stats the
-                # controllers already record per invocation, so tracing
-                # adds no clock reads on the step path.
-                wall_total = sum(l0.stats.wall_seconds for l0 in self.l0s)
-                states_total = sum(l0.stats.states_explored for l0 in self.l0s)
-                tracer.emit(
-                    "l0-bank",
-                    period=k // self.substeps,
-                    module=0,
-                    wall_us=(wall_total - state.l0_wall_mark) * 1e6,
-                    states=states_total - state.l0_states_mark,
+            if tracer is not None and tracer.enabled and runner.l0_bank:
+                state.l0_mark = _emit_l0_bank_span(
+                    tracer, runner, k // self.substeps, state.l0_mark
                 )
-                state.l0_wall_mark = wall_total
-                state.l0_states_mark = states_total
             state.sink.on_period_end(
                 PeriodEvent(
                     period=k // self.substeps,
@@ -536,34 +509,7 @@ class ModuleSimulation:
             )
         if state.result is not None:
             return state.result
-        plant = state.plant
-        recorder = state.recorder
-        on_count, off_count = plant.switch_counts()
-        l0_stats = ControllerStats()
-        for l0 in self.l0s:
-            l0_stats = l0_stats.merged_with(l0.stats)
-        result = ModuleRunResult(
-            l0_period=self.l0_params.period,
-            l1_period=self.l1_params.period,
-            computer_names=[c.name for c in self.spec.computers],
-            arrivals=recorder.arrivals,
-            frequencies=recorder.frequencies,
-            responses=recorder.responses,
-            queues=recorder.queues,
-            power=recorder.power,
-            l1_arrivals=recorder.l1_arrivals,
-            l1_predictions=recorder.l1_predictions,
-            computers_on=recorder.computers_on,
-            target_response=self.l0_params.target_response,
-            energy_base=sum(c.energy.base_energy for c in plant.computers),
-            energy_dynamic=sum(c.energy.dynamic_energy for c in plant.computers),
-            energy_transient=sum(c.energy.transient_energy for c in plant.computers),
-            switch_ons=on_count,
-            switch_offs=off_count,
-            l0_stats=l0_stats,
-            l1_stats=self.module_controller.stats,
-            stream=recorder.stream,
-        )
+        result = self._result(state)
         state.result = result
         state.sink.on_run_end(result)
         return result
@@ -571,36 +517,12 @@ class ModuleSimulation:
     def live_summary(self) -> RunSummary:
         """Headline metrics over the steps taken so far (mid-run safe).
 
-        Uses the same online :class:`StreamStats` aggregates and the same
-        arithmetic as :meth:`finish`/:meth:`~repro.sim.results.ModuleRunResult.summary`,
-        so at end of run the two agree bit for bit.
+        Builds the same result :meth:`finish` would from the runner's
+        current aggregates, so at end of run the two agree bit for bit.
         """
         if self._state is None:
             raise ControlError("no active run; call reset() first")
-        state = self._state
-        plant = state.plant
-        stream = state.recorder.stream
-        on_count, off_count = plant.switch_counts()
-        l0_stats = ControllerStats()
-        for l0 in self.l0s:
-            l0_stats = l0_stats.merged_with(l0.stats)
-        l1_stats = self.module_controller.stats
-        energy_base = sum(c.energy.base_energy for c in plant.computers)
-        energy_dynamic = sum(c.energy.dynamic_energy for c in plant.computers)
-        energy_transient = sum(c.energy.transient_energy for c in plant.computers)
-        return RunSummary(
-            mean_response=stream.mean_response,
-            violation_fraction=stream.violation_fraction,
-            total_energy=energy_base + energy_dynamic + energy_transient,
-            base_energy=energy_base,
-            dynamic_energy=energy_dynamic,
-            transient_energy=energy_transient,
-            switch_ons=on_count,
-            switch_offs=off_count,
-            mean_computers_on=stream.mean_computers_on,
-            controller_seconds=l0_stats.total_seconds + l1_stats.total_seconds,
-            l1_mean_states=l1_stats.mean_states,
-        )
+        return self._result(self._state).summary()
 
     def run(
         self, observers: "Iterable[SimulationObserver]" = ()
@@ -615,6 +537,15 @@ class ModuleSimulation:
         if self._state is None:
             self.reset()
         return self._state
+
+    def _result(self, state: "_ModuleRunState") -> ModuleRunResult:
+        return _module_result(
+            self.spec,
+            state.recorder,
+            state.runner.finalize(),
+            self.l0_params,
+            self.l1_params.period,
+        )
 
     def _tune_predictor(self, controller, fine_predictor=None) -> None:
         """Tune the Kalman filters on the initial workload portion (§4.3)."""
@@ -632,19 +563,22 @@ class ModuleSimulation:
 
 @dataclass
 class _ModuleRunState:
-    """Mutable per-run state for :class:`ModuleSimulation`."""
+    """Mutable per-run state for :class:`ModuleSimulation`.
 
-    plant: Module
+    The module's plant, alpha/gamma and pending faults live in
+    ``runner``, the same :class:`~repro.sim.shard.ModuleShardRunner`
+    that steps each member module of a cluster run.
+    """
+
+    runner: ModuleShardRunner
     recorder: ModuleRecorder
     sink: ObserverList
-    fine_predictor: WorkloadPredictor
-    alpha: np.ndarray
-    gamma: np.ndarray
-    pending_events: list
+    fine_predictor: "WorkloadPredictor | None"
     interval_arrivals: float = 0.0
     k: int = 0
-    l0_wall_mark: float = 0.0
-    l0_states_mark: int = 0
+    #: Cumulative L0-bank ``(wall_seconds, states)`` already attributed
+    #: to emitted l0-bank spans.
+    l0_mark: "tuple[float, int]" = (0.0, 0)
     result: "ModuleRunResult | None" = None
 
 
@@ -958,8 +892,6 @@ class ClusterSimulation:
                 )
                 for module_spec, maps in zip(self.spec.modules, self._behavior_maps)
             ]
-            for l1 in l1s:
-                l1.kernel = self.kernel
             l0_banks = [
                 [L0Controller(c, self.l0_params) for c in s.computers]
                 for s in self.spec.modules
@@ -1087,31 +1019,13 @@ class ClusterSimulation:
                 and tracer.enabled
                 and state.runners is not None
             ):
-                # L0 wall time comes from the bank's own accounting (the
-                # controllers time themselves), so the step path gains no
-                # clock reads: the span is the delta since the last mark.
-                if state.l0_wall_marks is None:
-                    state.l0_wall_marks = [0.0] * len(state.runners)
-                    state.l0_states_marks = [0] * len(state.runners)
-                period = k // self.substeps
+                if state.l0_marks is None:
+                    state.l0_marks = [(0.0, 0)] * len(state.runners)
                 for i, runner in enumerate(state.runners):
-                    if not runner.l0_bank:
-                        continue
-                    wall_total = sum(
-                        l0.stats.wall_seconds for l0 in runner.l0_bank
-                    )
-                    states_total = sum(
-                        l0.stats.states_explored for l0 in runner.l0_bank
-                    )
-                    tracer.emit(
-                        "l0-bank",
-                        period=period,
-                        module=i,
-                        wall_us=(wall_total - state.l0_wall_marks[i]) * 1e6,
-                        states=states_total - state.l0_states_marks[i],
-                    )
-                    state.l0_wall_marks[i] = wall_total
-                    state.l0_states_marks[i] = states_total
+                    if runner.l0_bank:
+                        state.l0_marks[i] = _emit_l0_bank_span(
+                            tracer, runner, k // self.substeps, state.l0_marks[i]
+                        )
             period_index = k // self.substeps
             totals = state.period_totals.pop(period_index, None)
             if totals is None:
@@ -1140,37 +1054,13 @@ class ClusterSimulation:
                 state, k, observed_consumed=vector is not None
             )
             state.sink.on_l2_decision(l2_event)
-            metrics = self.metrics
-            tracer = self.tracer
-            tracing = tracer is not None and tracer.enabled
-            timed = tracing or metrics is not None
+            lookahead = 0 if self.baselines is not None else self.l1_params.horizon
             for runner, boundary in zip(state.runners, boundaries):
-                t0 = time.perf_counter() if timed else None
-                event = runner.begin_period(boundary)
-                if timed:
-                    wall = time.perf_counter() - t0
-                    if metrics is not None:
-                        metrics.histogram(
-                            "repro_decision_seconds",
-                            "Wall time per controller decision.",
-                            level="l1",
-                        ).observe(wall)
-                    if tracing:
-                        tracer.emit(
-                            "l1-lookahead",
-                            period=event.period,
-                            module=event.module,
-                            wall_us=wall * 1e6,
-                            machines_on=int(event.alpha.sum()),
-                            lookahead=(
-                                0
-                                if self.baselines is not None
-                                else self.l1_params.horizon
-                            ),
-                            held=event.held,
-                            forced=event.forced,
-                        )
-                state.sink.on_l1_decision(event)
+                state.sink.on_l1_decision(
+                    _timed_begin_period(
+                        runner, boundary, self.engine_options, lookahead
+                    )
+                )
             if vector is not None:
                 vector.pull()
         if vector is not None:
@@ -1603,35 +1493,16 @@ class ClusterSimulation:
             if state.vector_executor is not None:
                 state.vector_executor.flush()
             finals = [runner.finalize() for runner in state.runners]
-        module_results = []
-        for i, final in enumerate(finals):
-            recorder = state.module_recorders[i]
-            module_results.append(
-                ModuleRunResult(
-                    l0_period=self.l0_params.period,
-                    l1_period=self.l1_params.period,
-                    computer_names=[
-                        c.name for c in self.spec.modules[i].computers
-                    ],
-                    arrivals=recorder.arrivals,
-                    frequencies=recorder.frequencies,
-                    responses=recorder.responses,
-                    queues=recorder.queues,
-                    power=recorder.power,
-                    l1_arrivals=recorder.l1_arrivals,
-                    l1_predictions=recorder.l1_predictions,
-                    computers_on=recorder.computers_on,
-                    target_response=self.l0_params.target_response,
-                    energy_base=final.energy_base,
-                    energy_dynamic=final.energy_dynamic,
-                    energy_transient=final.energy_transient,
-                    switch_ons=final.switch_ons,
-                    switch_offs=final.switch_offs,
-                    l0_stats=final.l0_stats,
-                    l1_stats=final.l1_stats,
-                    stream=recorder.stream,
-                )
+        module_results = [
+            _module_result(
+                self.spec.modules[i],
+                state.module_recorders[i],
+                final,
+                self.l0_params,
+                self.l1_params.period,
             )
+            for i, final in enumerate(finals)
+        ]
         cluster = state.cluster_recorder
         result = ClusterRunResult(
             l2_period=self.l2_params.period,
@@ -1815,10 +1686,10 @@ class _ClusterRunState:
     interval_global: float = 0.0
     k: int = 0
     result: "ClusterRunResult | None" = None
-    #: Cumulative L0-bank wall/states already attributed to emitted
-    #: l0-bank spans (serial tracing only; lazily sized per runner).
-    l0_wall_marks: "list | None" = None
-    l0_states_marks: "list | None" = None
+    #: Per-runner cumulative L0-bank ``(wall_seconds, states)`` already
+    #: attributed to emitted l0-bank spans (serial tracing only; lazily
+    #: sized per runner).
+    l0_marks: "list | None" = None
 
     def module_queue_lengths(self) -> "list[np.ndarray]":
         """Per-module plant queue vectors at the current period boundary."""

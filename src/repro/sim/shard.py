@@ -1,16 +1,23 @@
-"""Intra-run sharded execution: one worker per module at cluster level.
+"""The module runner, and sharded execution: one worker per module.
 
-The paper's hierarchy is naturally parallel: the L2 controller splits the
-global arrival stream with gamma, then each module's L1/L0 loop runs
-independently until the next control period. This module exploits that
-structure. A :class:`ModuleShardRunner` owns everything module-local —
-the plant, the module controller (L1 or a baseline), the L0 bank, the
-current alpha/gamma, pending fault events — and exposes the intra-period
+A module's L1/L0 loop is the same whether it runs alone or under the L2
+controller; only the source of its arrival forecast changes. A
+:class:`ModuleShardRunner` owns everything module-local — the plant, the
+module controller (L1 or a baseline), the L0 bank, the current
+alpha/gamma, pending fault events — and exposes the intra-period
 stepping as three calls (``begin_period`` / ``step`` / ``finalize``).
-The serial engine drives the runners inline; the pooled backends ship
-them to persistent, spawn-started worker processes
-(:class:`ShardWorkerPool`) or an in-process thread pool
-(:class:`ThreadShardPool`) and drive whole control periods at a time.
+It is the one place that decides how a module steps: both
+:class:`~repro.sim.engine.ModuleSimulation` (fed by the module's own
+predictor) and :class:`~repro.sim.engine.ClusterSimulation` (fed by the
+L2 decision) drive runners.
+
+The hierarchy is also naturally parallel: the L2 controller splits the
+global arrival stream with gamma, then each module's loop runs
+independently until the next control period. The serial cluster path
+drives its runners inline; the pooled backends ship them to persistent,
+spawn-started worker processes (:class:`ShardWorkerPool`) or an
+in-process thread pool (:class:`ThreadShardPool`) and drive whole
+control periods at a time.
 
 Three mechanisms keep the process pool's wire thin:
 
@@ -96,9 +103,11 @@ class ModuleBoundaryInput:
     """Parent-computed inputs for one module's control-period boundary.
 
     ``observed_arrivals`` is the module's realised arrival count over the
-    previous period (``None`` on the first boundary). The ``rate_*`` /
-    ``delta`` / ``prediction`` fields are the L1 set-points derived from
-    the L2 forecast; baseline modules ignore them and forecast locally.
+    previous period (``None`` on the first boundary, or when the caller
+    already fed it to the controller). The ``rate_*`` / ``delta`` /
+    ``prediction`` fields are the L1 set-points, derived from the L2
+    forecast in a cluster and from the L1's own predictor in a module
+    run; baseline modules ignore them and forecast locally.
     ``work`` is the parent's mean service demand at the boundary step
     (``None`` means the runner's constant ``mean_work``).
 
@@ -131,8 +140,8 @@ class ModuleStepInput:
 
     ``share`` is this module's slice of the global arrivals (the L2
     gamma split), ``gamma_module`` the module's current global load
-    fraction, and ``forecast`` the shared fine-grained global rate
-    forecast (hierarchy mode only). ``work`` is the step's mean service
+    fraction (1.0 for a module run alone), and ``forecast`` the shared
+    fine-grained global rate forecast (hierarchy mode only). ``work`` is the step's mean service
     demand (``None`` means the runner's constant ``mean_work``).
     """
 
@@ -219,10 +228,10 @@ def forced_configuration(
 class ModuleShardRunner:
     """Owns one module's mutable run state and intra-period logic.
 
-    The serial engine calls this inline; the sharded backend pickles the
-    fully-initialised runner to a worker process once per run and calls
-    it there. Both paths therefore execute the identical float
-    operations in the identical order.
+    Module runs and serial cluster runs call this inline; the sharded
+    backend pickles the fully-initialised runner to a worker process
+    once per run and calls it there. Every path therefore executes the
+    identical float operations in the identical order.
     """
 
     def __init__(
@@ -254,7 +263,7 @@ class ModuleShardRunner:
         self.gamma = np.full(plant.size, 1.0 / plant.size)
         self.pending_events = sorted(failure_events, key=lambda e: e[0])
 
-    # -- fault handling (mirrors ModuleSimulation.step) -----------------
+    # -- fault handling --------------------------------------------------
 
     def _apply_faults(self, now: float) -> None:
         while self.pending_events and self.pending_events[0][0] <= now:

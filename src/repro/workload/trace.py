@@ -24,7 +24,7 @@ class ArrivalTrace:
     Parameters
     ----------
     counts:
-        Non-negative request counts, one per bin.
+        Finite, non-negative request counts, one per bin.
     bin_seconds:
         Width of each bin in seconds.
     """
@@ -36,8 +36,14 @@ class ArrivalTrace:
         counts = np.asarray(self.counts, dtype=float)
         if counts.ndim != 1 or counts.size == 0:
             raise ConfigurationError("counts must be a non-empty 1-D array")
-        if np.any(counts < 0):
-            raise ConfigurationError("counts must be non-negative")
+        # ``counts < 0`` is False for NaN, so test for the good values.
+        bad = ~(np.isfinite(counts) & (counts >= 0))
+        if bad.any():
+            index = int(np.argmax(bad))
+            raise ConfigurationError(
+                "counts must be finite and non-negative; "
+                f"bin {index} holds {float(counts[index])}"
+            )
         require_positive(self.bin_seconds, "bin_seconds")
         object.__setattr__(self, "counts", counts)
 

@@ -2,8 +2,11 @@
 
 import asyncio
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ControlError
 from repro.service import (
@@ -51,6 +54,35 @@ class TestWireFormat:
     def test_junk_raises_control_error(self, line):
         with pytest.raises(ControlError):
             parse_observation(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"step": 0, "arrivals": NaN}',
+            '{"step": 0, "arrivals": Infinity}',
+            '{"step": 0, "arrivals": -Infinity}',
+            '{"step": 0, "arrivals": -1.0}',
+            '{"step": 0, "arrivals": 1.0, "work": NaN}',
+            '{"step": 0, "arrivals": 1.0, "work": Infinity}',
+            '{"step": 0, "arrivals": 1.0, "work": -0.0175}',
+        ],
+    )
+    def test_non_finite_or_negative_values_quote_the_line(self, line):
+        with pytest.raises(ControlError, match="non-negative") as raised:
+            parse_observation(line)
+        message = str(raised.value)
+        assert repr(line) in message
+        assert "\n" not in message
+
+    @given(st.floats(), st.sampled_from(["arrivals", "work"]))
+    def test_accepted_iff_finite_and_non_negative(self, value, field):
+        payload = {"step": 0, "arrivals": 1.0, field: value}
+        line = json.dumps(payload)
+        if math.isfinite(value) and value >= 0:
+            assert getattr(parse_observation(line), field) == value
+        else:
+            with pytest.raises(ControlError, match="non-negative"):
+                parse_observation(line)
 
 
 class TestSocketFeed:

@@ -118,16 +118,16 @@ class TestAutoShed:
             samples=8, deadline_seconds=1e-9, shed_fraction_on_hold=0.3
         )
         simulation = plant.simulation
-        fast_act = simulation.l1.act
+        fast_decide = simulation.l1.decide
         slow = {"on": True}
 
-        def gated_act(*args, **kwargs):
-            decision = fast_act(*args, **kwargs)
+        def gated_decide(*args, **kwargs):
+            decision = fast_decide(*args, **kwargs)
             if slow["on"]:
                 time.sleep(0.002)  # blow the 1ns budget
             return decision
 
-        simulation.l1.act = gated_act
+        simulation.l1.decide = gated_decide
         supervisor.start()
 
         def run_period():

@@ -47,14 +47,14 @@ class TestDeadlineBudget:
         """A forced overrun holds the previous allocation, never crashes."""
         supervisor, plant = make_supervisor(samples=6, deadline_seconds=1e-9)
         simulation = plant.simulation
-        slow_act = simulation.l1.act
+        slow_decide = simulation.l1.decide
 
-        def injected_slow_act(*args, **kwargs):
-            decision = slow_act(*args, **kwargs)
+        def injected_slow_decide(*args, **kwargs):
+            decision = slow_decide(*args, **kwargs)
             time.sleep(0.002)  # guarantee the 1ns budget is blown
             return decision
 
-        simulation.l1.act = injected_slow_act
+        simulation.l1.decide = injected_slow_decide
         supervisor.start()
         result = asyncio.run(supervisor.run())
         assert result is not None  # run completed despite every miss

@@ -29,6 +29,33 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             _trace(counts=(-1, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_bin_by_index(self, bad):
+        with pytest.raises(
+            ConfigurationError, match="non-negative; bin 2 holds"
+        ):
+            _trace(counts=(1.0, 2.0, bad, 4.0))
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20
+        ),
+        st.data(),
+    )
+    def test_first_bad_bin_is_named(self, counts, data):
+        index = data.draw(st.integers(0, len(counts) - 1))
+        bad = data.draw(
+            st.one_of(
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+                st.floats(max_value=-1e-9, allow_infinity=False),
+            )
+        )
+        counts[index] = bad
+        with pytest.raises(ConfigurationError) as raised:
+            _trace(counts=counts)
+        assert f"bin {index} holds" in str(raised.value)
+        assert "\n" not in str(raised.value)
+
     def test_rejects_bad_bin_width(self):
         with pytest.raises(ConfigurationError):
             _trace(bin_seconds=0.0)
@@ -185,6 +212,15 @@ class TestLoadFile:
 
         with pytest.raises(ConfigurationError, match="cannot read"):
             ArrivalTrace.load_file(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_bin_rejected(self, tmp_path, bad):
+        from repro.common import ConfigurationError
+
+        with pytest.raises(
+            ConfigurationError, match="non-negative; bin 1 holds"
+        ):
+            self._load(tmp_path, f"time_seconds,count\n0,5\n60,{bad}\n120,9\n")
 
     def test_irregular_time_column_rejected(self, tmp_path):
         from repro.common import ConfigurationError
