@@ -4,6 +4,15 @@ The L2 controller stores module costs in "a compact regression tree"
 (Breiman's CART): binary axis-aligned splits chosen to maximise variance
 reduction, with depth and leaf-size limits keeping the tree compact enough
 for real-time queries.
+
+Prediction never walks the node objects. At the end of :meth:`fit` and
+:meth:`from_dict` the tree flattens itself into five parallel node
+arrays (``feature``, ``threshold``, ``left``, ``right``, ``value``) in
+which every leaf points at itself. :meth:`RegressionTree.predict` then
+descends all rows together, one level per step and ``depth`` steps in
+all, with the same ``x[feature] <= threshold`` comparison a node walk
+makes; rows that reach a leaf early stay on it. The linked ``_Node``
+tree is kept only as the serialised form.
 """
 
 from __future__ import annotations
@@ -60,6 +69,8 @@ class RegressionTree:
         self.min_variance_reduction = min_variance_reduction
         self._root: _Node | None = None
         self._n_features = 0
+        self._flat: tuple[np.ndarray, ...] = ()
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Fitting
@@ -74,6 +85,7 @@ class RegressionTree:
             raise ConfigurationError("cannot fit on an empty dataset")
         self._n_features = x.shape[1]
         self._root = self._build(x, y, depth=0)
+        self._flatten()
         return self
 
     def _build(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
@@ -126,7 +138,7 @@ class RegressionTree:
     # ------------------------------------------------------------------
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict targets for ``features`` (n, d) or a single point (d,)."""
-        root = self._require_fit()
+        self._require_fit()
         x = np.asarray(features, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
@@ -134,12 +146,14 @@ class RegressionTree:
             raise ConfigurationError(
                 f"expected {self._n_features} features, got {x.shape[1]}"
             )
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
+        feature, threshold, left, right, value = self._flat
+        rows = np.arange(x.shape[0])
+        idx = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(self._depth):
+            idx = np.where(
+                x[rows, feature[idx]] <= threshold[idx], left[idx], right[idx]
+            )
+        out = value[idx]
         return out[0] if single else out
 
     def predict_one(self, point) -> float:
@@ -149,12 +163,15 @@ class RegressionTree:
     @property
     def depth(self) -> int:
         """Realised depth of the fitted tree."""
-        return self._measure_depth(self._require_fit())
+        self._require_fit()
+        return self._depth
 
     @property
     def leaf_count(self) -> int:
         """Number of leaves in the fitted tree."""
-        return self._count_leaves(self._require_fit())
+        self._require_fit()
+        left = self._flat[2]
+        return int(np.count_nonzero(left == np.arange(left.size)))
 
     def _require_fit(self) -> _Node:
         if self._root is None:
@@ -188,7 +205,43 @@ class RegressionTree:
         )
         tree._n_features = int(payload["n_features"])
         tree._root = cls._node_from_dict(payload["root"])
+        tree._flatten()
         return tree
+
+    def _flatten(self) -> None:
+        """Lay the fitted ``_Node`` tree out as the arrays ``predict`` reads.
+
+        Nodes are numbered in pre-order; a leaf's ``left`` and ``right``
+        are its own index, so extra descent steps leave a row in place.
+        """
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+
+        def visit(node: _Node) -> tuple[int, int]:
+            """Append ``node``'s subtree; return its index and height."""
+            idx = len(value)
+            feature.append(max(node.feature, 0))
+            threshold.append(node.threshold)
+            left.append(idx)
+            right.append(idx)
+            value.append(node.prediction)
+            if node.is_leaf:
+                return idx, 0
+            left[idx], left_height = visit(node.left)
+            right[idx], right_height = visit(node.right)
+            return idx, 1 + max(left_height, right_height)
+
+        _, self._depth = visit(self._require_fit())
+        self._flat = (
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=float),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            np.array(value, dtype=float),
+        )
 
     @classmethod
     def _node_to_dict(cls, node: _Node) -> dict:
@@ -211,13 +264,3 @@ class RegressionTree:
             node.left = cls._node_from_dict(payload["left"])
             node.right = cls._node_from_dict(payload["right"])
         return node
-
-    def _measure_depth(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 0
-        return 1 + max(self._measure_depth(node.left), self._measure_depth(node.right))
-
-    def _count_leaves(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 1
-        return self._count_leaves(node.left) + self._count_leaves(node.right)

@@ -371,6 +371,11 @@ class L1Controller:
         self._base_powers = [c.base_power for c in module_spec.computers]
         self._memo: dict[tuple, tuple[float, float]] = {}
         self._available = np.ones(module_spec.size, dtype=bool)
+        # Per-mask candidate sets, keyed on ``mask.tobytes()``. They depend
+        # only on the mask, ``capacities`` and the frozen params, so each
+        # is built once per controller and handed out read-only.
+        self._gamma_candidates: dict[bytes, tuple[np.ndarray, ...]] = {}
+        self._gamma_next: dict[bytes, np.ndarray] = {}
 
     @staticmethod
     def _train_maps(
@@ -479,6 +484,11 @@ class L1Controller:
         # Candidates re-query the same (computer, queue, rate, work) cells
         # over and over; memoise per decision.
         self._memo: dict[tuple, tuple[float, float]] = {}
+        # The sampled arrival rates are the same for every candidate.
+        samples = three_point_band(rate_hat, delta) if delta > 0 else [rate_hat]
+        next_samples = (
+            three_point_band(rate_next, delta) if delta > 0 else [rate_next]
+        )
 
         for alpha in self._candidate_alphas(alpha_current):
             serving_now = alpha & alpha_current  # available during [k, k+1)
@@ -487,7 +497,7 @@ class L1Controller:
             context = self._alpha_context(alpha, alpha_current)
             for gamma in self._candidate_gammas(serving_now):
                 cost, states = self._horizon_cost(
-                    queues, context, gamma, rate_hat, rate_next, delta, work
+                    queues, context, gamma, samples, next_samples, work
                 )
                 explored += states
                 if cost < best_cost:
@@ -498,7 +508,7 @@ class L1Controller:
             raise ControlError("no admissible (alpha, gamma) candidate found")
         decision = L1Decision(
             alpha=best_alpha.astype(int),
-            gamma=best_gamma,
+            gamma=best_gamma.copy(),
             expected_cost=best_cost,
             states_explored=explored,
         )
@@ -537,8 +547,15 @@ class L1Controller:
                 candidates.append(candidate)
         return candidates
 
-    def _candidate_gammas(self, serving: np.ndarray) -> list[np.ndarray]:
-        """Capacity-proportional seed plus its simplex neighbourhood."""
+    def _candidate_gammas(self, serving: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Capacity-proportional seed plus its simplex neighbourhood.
+
+        Built once per ``serving`` mask; the arrays are read-only.
+        """
+        key = serving.tobytes()
+        cached = self._gamma_candidates.get(key)
+        if cached is not None:
+            return cached
         weights = np.where(serving, self.capacities, 0.0)
         seed = quantize_to_simplex(weights, self.params.gamma_step)
         candidates = [seed]
@@ -552,7 +569,10 @@ class L1Controller:
                 candidates.append(neighbor)
                 if len(candidates) >= self.params.max_gamma_candidates:
                     break
-        return candidates
+        for candidate in candidates:
+            candidate.flags.writeable = False
+        cached = self._gamma_candidates[key] = tuple(candidates)
+        return cached
 
     # ------------------------------------------------------------------
     # Cost evaluation over the two-term horizon
@@ -568,9 +588,14 @@ class L1Controller:
         fixed = self.params.switching_weight * int(booting.sum())
         for j in np.flatnonzero(booting):
             fixed += self._base_powers[j] * substeps
-        gamma_next = quantize_to_simplex(
-            np.where(alpha, self.capacities, 0.0), self.params.gamma_step
-        )
+        key = alpha.tobytes()
+        gamma_next = self._gamma_next.get(key)
+        if gamma_next is None:
+            gamma_next = quantize_to_simplex(
+                np.where(alpha, self.capacities, 0.0), self.params.gamma_step
+            )
+            gamma_next.flags.writeable = False
+            self._gamma_next[key] = gamma_next
         return {
             "alpha": alpha,
             "serving_idx": [int(j) for j in np.flatnonzero(serving_now)],
@@ -586,17 +611,17 @@ class L1Controller:
         queues: np.ndarray,
         context: dict,
         gamma: np.ndarray,
-        rate_hat: float,
-        rate_next: float,
-        delta: float,
+        samples: "np.ndarray | list[float]",
+        next_samples: "np.ndarray | list[float]",
         work: float,
     ) -> tuple[float, int]:
         """Expected cost of periods k and k+1 under a candidate.
 
-        Returns (cost, states evaluated). Each sampled arrival rate is one
-        predicted system state, matching the paper's exploration metric.
+        ``samples``/``next_samples`` are the arrival rates sampled for the
+        two horizon periods. Returns (cost, states evaluated). Each sampled
+        arrival rate is one predicted system state, matching the paper's
+        exploration metric.
         """
-        samples = three_point_band(rate_hat, delta) if delta > 0 else [rate_hat]
         states = 0
         total = context["fixed_cost"]
         weight = 1.0 / len(samples)
@@ -616,7 +641,6 @@ class L1Controller:
         # Second horizon term: boots have completed; load re-allocated
         # capacity-proportionally over the candidate's on-set.
         gamma_next = context["gamma_next"]
-        next_samples = three_point_band(rate_next, delta) if delta > 0 else [rate_next]
         next_weight = 1.0 / len(next_samples)
         for rate in next_samples:
             states += 1
@@ -632,9 +656,12 @@ class L1Controller:
         """Memoised abstraction-map lookup for computer ``j``.
 
         Keyed by map identity rather than computer index: same-profile
-        machines at the same operating point share one evaluation.
+        machines at the same operating point share one evaluation. The
+        floats are keyed exactly, unrounded, so a hit is always the very
+        query that was asked before and the answer cannot depend on which
+        nearby point happened to be asked first.
         """
-        key = (id(self.maps[j]), round(queue, 6), round(rate, 6), round(work, 9))
+        key = (id(self.maps[j]), queue, rate, work)
         hit = self._memo.get(key)
         if hit is None:
             hit = self.maps[j].cost_and_next_queue(queue, rate, work)

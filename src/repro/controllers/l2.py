@@ -301,6 +301,14 @@ class L2Controller:
         self.capacities = np.array(
             [m.spec.max_service_rate(0.0175) for m in module_maps]
         )
+        # Fixed for the controller's life, so built once: one machine's
+        # capacity per module (the boot charge's divisor) and the whole
+        # quantised simplex (the exhaustive candidate set, read-only).
+        self._machine_capacity = self.capacities / [m.spec.size for m in module_maps]
+        self._simplex = np.array(
+            list(enumerate_simplex(len(module_maps), self.params.gamma_step))
+        )
+        self._simplex.flags.writeable = False
 
     @property
     def module_count(self) -> int:
@@ -349,16 +357,13 @@ class L2Controller:
         if queue_avgs.shape != (p,):
             raise ConfigurationError(f"queue_avgs must have shape ({p},)")
         started = time.perf_counter()
-        candidates = np.asarray(self._candidates(gamma_current))
+        candidates = self._candidates(gamma_current)
         current_quantized = (
             quantize_to_simplex(gamma_current, self.params.gamma_step)
             if gamma_current is not None
             else None
         )
         n = candidates.shape[0]
-        machine_capacity = np.array(
-            [m.spec.max_service_rate(0.0175) / m.spec.size for m in self.maps]
-        )
         # Vectorised evaluation: one batched tree query per module for all
         # candidates at once (both horizon terms).
         costs = np.zeros(n)
@@ -382,7 +387,7 @@ class L2Controller:
             # divided by one machine's capacity, per module.
             shifted = np.clip(candidates - gamma_current, 0.0, None) * rate_hat
             costs += self.params.reconfiguration_weight * (
-                shifted / machine_capacity
+                shifted / self._machine_capacity
             ).sum(axis=1)
 
         best_index = int(np.argmin(costs))
@@ -412,16 +417,16 @@ class L2Controller:
             best_gamma = current_quantized
             best_cost = current_cost
         decision = L2Decision(
-            gamma=best_gamma,
+            gamma=best_gamma.copy(),
             expected_cost=best_cost,
             states_explored=explored,
         )
         self.stats.record(explored, time.perf_counter() - started)
         return decision
 
-    def _candidates(self, gamma_current: np.ndarray | None) -> list[np.ndarray]:
+    def _candidates(self, gamma_current: np.ndarray | None) -> np.ndarray:
         if self.params.exhaustive or gamma_current is None:
-            return list(enumerate_simplex(self.module_count, self.params.gamma_step))
+            return self._simplex
         seed = quantize_to_simplex(gamma_current, self.params.gamma_step)
         candidates = [seed]
         candidates.extend(
@@ -432,4 +437,4 @@ class L2Controller:
         candidates.append(
             quantize_to_simplex(self.capacities, self.params.gamma_step)
         )
-        return candidates
+        return np.array(candidates)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.forecast.kalman import KalmanFilter, StateSpaceModel
@@ -67,7 +66,9 @@ def fit_ar_yule_walker(series: np.ndarray, order: int) -> ArmaSpec:
     gamma = autocovariances(series, order)
     if gamma[0] <= 0:
         raise ConfigurationError("series has zero variance; cannot fit AR")
-    phi = solve_toeplitz(gamma[:order], gamma[1 : order + 1])
+    lags = np.arange(order)
+    toeplitz = gamma[np.abs(lags[:, None] - lags[None, :])]
+    phi = np.linalg.solve(toeplitz, gamma[1 : order + 1])
     noise_var = float(gamma[0] - phi @ gamma[1 : order + 1])
     return ArmaSpec(ar=tuple(float(v) for v in phi), ma=(), noise_var=max(noise_var, 1e-12))
 

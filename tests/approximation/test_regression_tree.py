@@ -1,5 +1,7 @@
 """Tests for the CART regression tree."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +115,104 @@ class TestProperties:
         mse_shallow = np.mean((shallow.predict(x) - y) ** 2)
         mse_deep = np.mean((deep.predict(x) - y) ** 2)
         assert mse_deep <= mse_shallow + 1e-12
+
+
+def _walk(node, row):
+    """Reference prediction: follow one row down the linked nodes."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.prediction
+
+
+def _thresholds(node):
+    if node.is_leaf:
+        return []
+    return [node.threshold] + _thresholds(node.left) + _thresholds(node.right)
+
+
+@st.composite
+def fitted_trees(draw):
+    """Trees fitted on random data; rounded features give tied values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 3))
+    x = rng.normal(0.0, 10.0, (n, d)).round(draw(st.integers(0, 3)))
+    y = rng.normal(0.0, 5.0, n)
+    return RegressionTree(
+        max_depth=draw(st.integers(1, 7)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        min_variance_reduction=0.0,
+    ).fit(x, y)
+
+
+@st.composite
+def query_batches(draw, tree):
+    """Query rows mixing random floats, exact thresholds and ±inf/NaN."""
+    edges = [
+        value
+        for t in _thresholds(tree._root)
+        for value in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))
+    ]
+    values = st.one_of(
+        st.sampled_from(edges + [np.inf, -np.inf, np.nan, 0.0, -0.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    d = tree._n_features
+    rows = draw(st.lists(st.lists(values, min_size=d, max_size=d), max_size=24))
+    return np.array(rows, dtype=float).reshape(-1, d)
+
+
+class TestFlatDescent:
+    """``predict`` descends node arrays; it must equal the node walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fitted_trees(), st.data())
+    def test_predict_equals_reference_walk(self, tree, data):
+        x = data.draw(query_batches(tree))
+        expected = np.array([_walk(tree._root, row) for row in x])
+        predicted = tree.predict(x)
+        assert predicted.shape == (x.shape[0],)
+        assert (predicted == expected).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(fitted_trees(), st.data())
+    def test_point_matches_one_row_batch(self, tree, data):
+        x = data.draw(query_batches(tree).filter(lambda b: b.shape[0] > 0))
+        point = tree.predict(x[0])
+        assert np.ndim(point) == 0
+        assert point == tree.predict(x[:1])[0] == _walk(tree._root, x[0])
+        assert tree.predict_one(x[0]) == point
+
+    def test_zero_row_batch(self):
+        tree = RegressionTree().fit(np.arange(20.0).reshape(-1, 2), np.arange(10.0))
+        assert tree.predict(np.empty((0, 2))).shape == (0,)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fitted_trees(), st.data())
+    def test_round_trip_predicts_bit_identically(self, tree, data):
+        x = data.draw(query_batches(tree))
+        rebuilt = RegressionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        assert (rebuilt.predict(x) == tree.predict(x)).all()
+        assert rebuilt.depth == tree.depth
+        assert rebuilt.leaf_count == tree.leaf_count
+
+    def test_to_dict_keys_unchanged(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, (200, 2))
+        tree = RegressionTree(max_depth=4).fit(x, x[:, 0] + x[:, 1] ** 2)
+        payload = tree.to_dict()
+        assert set(payload) == {
+            "max_depth",
+            "min_samples_leaf",
+            "min_variance_reduction",
+            "n_features",
+            "root",
+        }
+        stack = [payload["root"]]
+        while stack:
+            node = stack.pop()
+            if "left" in node:
+                assert set(node) == {"prediction", "feature", "threshold", "left", "right"}
+                stack.extend((node["left"], node["right"]))
+            else:
+                assert set(node) == {"prediction"}
